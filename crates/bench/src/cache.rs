@@ -9,43 +9,47 @@
 //! * an **in-memory LRU** of the hottest entries (bounded by
 //!   `mem_capacity`; a disk hit is promoted into it), and
 //! * a **disk store** under the cache directory — one
-//!   `<key>.entry.json` file per record plus an `index.json` listing the
-//!   known keys with their byte sizes in access order, both written
-//!   atomically via the temp-file + rename pattern
-//!   ([`crate::write_json_atomic`]), so a crash mid-write can never
-//!   corrupt an entry or the index.
+//!   `<key>.entry.json` file per record, written atomically via the
+//!   temp-file + rename pattern ([`crate::write_text_atomic`]), so a crash
+//!   mid-write can never corrupt an entry. There is no index file: `open`
+//!   rebuilds the key list, byte sizes and access order from a scan of
+//!   the directory.
 //!
 //! The disk tier is **byte-budgeted**: when `disk_budget` is set, a `put`
 //! that pushes the tier past the budget evicts least-recently-accessed
-//! entries (file + index row, counted in
-//! [`CacheCounters::disk_evictions`]) until the tier fits again. The
-//! entry being written is never evicted by its own `put`, so a single
-//! record larger than the whole budget still serves — the budget is a
-//! steady-state bound, not an admission filter. Access order is
-//! maintained in memory on every disk hit and persisted on `put`, so the
-//! order survives restarts at put-granularity.
+//! entries (counted in [`CacheCounters::disk_evictions`]) until the tier
+//! fits again. The entry being written is never evicted by its own `put`,
+//! so a single record larger than the whole budget still serves — the
+//! budget is a steady-state bound, not an admission filter. An entry
+//! file's mtime is its last access: `put` and every disk hit set it to
+//! now, and `open` orders the scan by mtime (ties broken by key), so
+//! access order survives restarts.
+//!
+//! Both tiers keep their order in an `AccessOrder`, so `get`, `put`
+//! and each eviction cost O(log n) in the number of entries, and the
+//! tier's byte total is kept as a running sum.
 //!
 //! Robustness contract: a truncated, garbage, wrong-schema, or
 //! wrong-key entry file is treated as a **miss** — the caller recomputes
 //! and the fresh `put` overwrites the bad bytes. The cache never crashes
-//! on, and never serves, a corrupt entry. A missing or corrupt index is
-//! rebuilt by scanning the directory for entry files (byte sizes from
-//! file metadata).
+//! on, and never serves, a corrupt entry. Other files in the directory,
+//! such as the `index.json` older versions wrote, are ignored.
 //!
 //! All behaviour counters live in an [`Arc<CacheCounters>`] of atomics
 //! ([`ResultCache::counters`]): the serve layer's `/stats` endpoint reads
 //! them without taking the cache lock, so stats traffic never contends
 //! with the hot request path.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::SystemTime;
 
 use tenways_sim::json::Json;
 
-/// Version of the on-disk cache entry / index layout; bumped on any
-/// breaking change. Entries with a different version are misses.
+/// Version of the on-disk cache entry layout; bumped on any breaking
+/// change. Entries with a different version are misses.
 pub const CACHE_ENTRY_SCHEMA_VERSION: u64 = 1;
 
 /// Lock-free behaviour counters shared out of the cache via
@@ -67,7 +71,7 @@ pub struct CacheCounters {
     pub disk_evictions: AtomicU64,
     /// Gauge: entries currently in the memory tier.
     pub mem_entries: AtomicU64,
-    /// Gauge: entries currently in the disk index.
+    /// Gauge: entries currently in the disk tier.
     pub disk_entries: AtomicU64,
     /// Gauge: total bytes the disk tier currently holds.
     pub disk_bytes: AtomicU64,
@@ -98,11 +102,63 @@ pub struct CacheStats {
     pub disk_bytes: u64,
 }
 
-/// One disk-index row: a key plus the byte size of its entry file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct IndexEntry {
-    key: String,
-    bytes: u64,
+/// Keys with one value each, in access order: a key → (tick, value) map
+/// plus a tick-ordered map back to the key. Insert, touch and
+/// pop-oldest each cost O(log n).
+#[derive(Debug)]
+struct AccessOrder<V> {
+    entries: HashMap<String, (u64, V)>,
+    by_tick: BTreeMap<u64, String>,
+    next_tick: u64,
+}
+
+impl<V> AccessOrder<V> {
+    fn new() -> Self {
+        AccessOrder {
+            entries: HashMap::new(),
+            by_tick: BTreeMap::new(),
+            next_tick: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The value under `key`, leaving the order alone.
+    fn get(&self, key: &str) -> Option<&V> {
+        self.entries.get(key).map(|(_, v)| v)
+    }
+
+    /// Marks `key` most recently used and returns its value.
+    fn touch(&mut self, key: &str) -> Option<&V> {
+        let (tick, value) = self.entries.get_mut(key)?;
+        let key = self.by_tick.remove(tick).expect("every entry has a tick");
+        *tick = self.next_tick;
+        self.by_tick.insert(self.next_tick, key);
+        self.next_tick += 1;
+        Some(value)
+    }
+
+    /// Inserts `key` as the most recently used, returning the value it
+    /// replaces.
+    fn insert(&mut self, key: String, value: V) -> Option<V> {
+        let tick = self.next_tick;
+        self.next_tick += 1;
+        let old = self.entries.insert(key.clone(), (tick, value));
+        if let Some((old_tick, _)) = &old {
+            self.by_tick.remove(old_tick);
+        }
+        self.by_tick.insert(tick, key);
+        old.map(|(_, v)| v)
+    }
+
+    /// Removes and returns the least recently used entry.
+    fn pop_oldest(&mut self) -> Option<(String, V)> {
+        let (_, key) = self.by_tick.pop_first()?;
+        let (_, value) = self.entries.remove(&key).expect("every tick has an entry");
+        Some((key, value))
+    }
 }
 
 /// A two-tier (memory LRU + atomic disk store) map from canonical config
@@ -112,18 +168,18 @@ pub struct ResultCache {
     dir: PathBuf,
     mem_capacity: usize,
     disk_budget: Option<u64>,
-    mem: HashMap<String, Json>,
-    /// LRU order: front = least recently used, back = most recent.
-    order: Vec<String>,
-    /// Disk index in access order: front = least recently accessed.
-    index: Vec<IndexEntry>,
+    /// The memory tier: records in LRU order.
+    mem: AccessOrder<Json>,
+    /// The disk tier: entry-file byte sizes in access order.
+    disk: AccessOrder<u64>,
+    /// Sum of the byte sizes in `disk`.
+    disk_bytes: u64,
     counters: Arc<CacheCounters>,
 }
 
 impl ResultCache {
-    /// Opens (creating if needed) the cache directory and loads the index,
-    /// with an **unbounded** disk tier. A corrupt or missing index is
-    /// rebuilt by scanning for entry files — never an error.
+    /// Opens (creating if needed) the cache directory and scans it for
+    /// entry files, with an **unbounded** disk tier.
     ///
     /// `mem_capacity` bounds the in-memory tier (0 disables it; every hit
     /// then reads disk).
@@ -154,12 +210,15 @@ impl ResultCache {
             dir,
             mem_capacity,
             disk_budget,
-            mem: HashMap::new(),
-            order: Vec::new(),
-            index: Vec::new(),
+            mem: AccessOrder::new(),
+            disk: AccessOrder::new(),
+            disk_bytes: 0,
             counters: Arc::new(CacheCounters::default()),
         };
-        cache.index = cache.load_index().unwrap_or_else(|| cache.scan_entries());
+        for (_, key, bytes) in scan_entries(&cache.dir) {
+            cache.disk_bytes += bytes;
+            cache.disk.insert(key, bytes);
+        }
         cache.sync_disk_gauges();
         Ok(cache)
     }
@@ -179,14 +238,14 @@ impl ResultCache {
         self.mem.len()
     }
 
-    /// Entries the disk index knows about.
+    /// Entries the disk tier knows about.
     pub fn len_disk(&self) -> usize {
-        self.index.len()
+        self.disk.len()
     }
 
-    /// Total bytes the disk tier currently holds (per the index).
+    /// Total bytes the disk tier currently holds.
     pub fn disk_bytes(&self) -> u64 {
-        self.index.iter().map(|e| e.bytes).sum()
+        self.disk_bytes
     }
 
     /// The shared atomic counters: clone the `Arc` to read hit/miss/
@@ -211,19 +270,20 @@ impl ResultCache {
 
     /// Looks up `key`, checking memory first, then disk. A disk hit is
     /// promoted into the memory LRU and refreshes the key's disk access
-    /// order. Any disk problem — unreadable file, garbage bytes, wrong
-    /// schema version, entry recorded under a different key — is a miss,
-    /// never an error.
+    /// order (and its file's mtime). Any disk problem — unreadable file,
+    /// garbage bytes, wrong schema version, entry recorded under a
+    /// different key — is a miss, never an error.
     pub fn get(&mut self, key: &str) -> Option<Json> {
-        if let Some(record) = self.mem.get(key).cloned() {
-            self.touch(key);
+        if let Some(record) = self.mem.touch(key).cloned() {
             CacheCounters::bump(&self.counters.mem_hits);
             return Some(record);
         }
         match self.load_entry(key, true) {
             Some(record) => {
                 CacheCounters::bump(&self.counters.disk_hits);
-                self.touch_disk(key);
+                if self.disk.touch(key).is_some() {
+                    self.stamp(key);
+                }
                 self.insert_mem(key.to_string(), record.clone());
                 Some(record)
             }
@@ -245,11 +305,11 @@ impl ResultCache {
         self.load_entry(key, false)
     }
 
-    /// Stores `record` under `key` in both tiers. The entry file and the
-    /// index are each written atomically; an existing (possibly corrupt)
-    /// entry under the same key is overwritten. When the disk budget is
-    /// exceeded, least-recently-accessed entries (never the one just
-    /// written) are evicted until the tier fits.
+    /// Stores `record` under `key` in both tiers. The entry file is
+    /// written atomically; an existing (possibly corrupt) entry under the
+    /// same key is overwritten. When the disk budget is exceeded,
+    /// least-recently-accessed entries (never the one just written) are
+    /// evicted until the tier fits.
     ///
     /// # Errors
     ///
@@ -267,16 +327,14 @@ impl ResultCache {
         text.push('\n');
         let bytes = text.len() as u64;
         crate::write_text_atomic(&self.entry_path(key), &text)?;
-        if let Some(pos) = self.index.iter().position(|e| e.key == key) {
-            self.index.remove(pos);
+        self.stamp(key);
+        self.disk_bytes += bytes;
+        if let Some(old) = self.disk.insert(key.to_string(), bytes) {
+            self.disk_bytes -= old;
         }
-        self.index.push(IndexEntry {
-            key: key.to_string(),
-            bytes,
-        });
         self.enforce_disk_budget();
         self.sync_disk_gauges();
-        self.write_index()
+        Ok(())
     }
 
     /// Evicts least-recently-accessed disk entries until the tier fits
@@ -286,39 +344,24 @@ impl ResultCache {
         let Some(budget) = self.disk_budget else {
             return;
         };
-        while self.disk_bytes() > budget && self.index.len() > 1 {
-            let victim = self.index.remove(0);
-            let _ = std::fs::remove_file(self.entry_path(&victim.key));
+        while self.disk_bytes > budget && self.disk.len() > 1 {
+            let (victim, bytes) = self.disk.pop_oldest().expect("tier is not empty");
+            self.disk_bytes -= bytes;
+            let _ = std::fs::remove_file(self.entry_path(&victim));
             // The memory tier may still hold the record; that is fine —
             // it is bounded separately and a re-put restores the file.
             CacheCounters::bump(&self.counters.disk_evictions);
         }
     }
 
-    /// Refreshes the gauge counters after an index mutation.
+    /// Refreshes the gauge counters after a disk-tier mutation.
     fn sync_disk_gauges(&self) {
         self.counters
             .disk_entries
-            .store(self.index.len() as u64, Ordering::Relaxed);
+            .store(self.disk.len() as u64, Ordering::Relaxed);
         self.counters
             .disk_bytes
-            .store(self.disk_bytes(), Ordering::Relaxed);
-    }
-
-    /// Marks `key` most-recently-used in the memory LRU order.
-    fn touch(&mut self, key: &str) {
-        if let Some(pos) = self.order.iter().position(|k| k == key) {
-            let k = self.order.remove(pos);
-            self.order.push(k);
-        }
-    }
-
-    /// Marks `key` most-recently-accessed in the disk index order.
-    fn touch_disk(&mut self, key: &str) {
-        if let Some(pos) = self.index.iter().position(|e| e.key == key) {
-            let e = self.index.remove(pos);
-            self.index.push(e);
-        }
+            .store(self.disk_bytes, Ordering::Relaxed);
     }
 
     /// Inserts into the memory tier, evicting the least recently used
@@ -327,14 +370,11 @@ impl ResultCache {
         if self.mem_capacity == 0 {
             return;
         }
-        if self.mem.insert(key.clone(), record).is_some() {
-            self.touch(&key);
+        if self.mem.insert(key, record).is_some() {
             return;
         }
-        self.order.push(key);
         while self.mem.len() > self.mem_capacity {
-            let oldest = self.order.remove(0);
-            self.mem.remove(&oldest);
+            self.mem.pop_oldest();
             CacheCounters::bump(&self.counters.mem_evictions);
         }
         self.counters
@@ -352,8 +392,16 @@ impl ResultCache {
         self.dir.join(format!("{safe}.entry.json"))
     }
 
-    fn index_path(&self) -> PathBuf {
-        self.dir.join("index.json")
+    /// Sets the entry file's mtime to now: the persisted half of the disk
+    /// access order, read back by the scan in [`ResultCache::open`]. Best
+    /// effort — a failure only costs order after a restart.
+    fn stamp(&self, key: &str) {
+        if let Ok(file) = std::fs::File::options()
+            .write(true)
+            .open(self.entry_path(key))
+        {
+            let _ = file.set_modified(SystemTime::now());
+        }
     }
 
     /// Reads and validates one entry file; `None` on any defect.
@@ -384,83 +432,26 @@ impl ResultCache {
             _ => defect(self),
         }
     }
+}
 
-    /// Loads the index file; `None` when absent or corrupt (the caller
-    /// falls back to a directory scan). Accepts both the current
-    /// `{key, bytes}` rows and the legacy bare-string rows (byte sizes
-    /// recovered from file metadata).
-    fn load_index(&self) -> Option<Vec<IndexEntry>> {
-        let text = std::fs::read_to_string(self.index_path()).ok()?;
-        let doc = Json::parse(&text).ok()?;
-        if doc.get("kind").and_then(Json::as_str) != Some("cache_index")
-            || doc.get("schema_version").and_then(Json::as_u64) != Some(CACHE_ENTRY_SCHEMA_VERSION)
-        {
-            return None;
-        }
-        let entries = doc.get("entries").and_then(Json::as_array)?;
-        entries
-            .iter()
-            .map(|e| match e {
-                Json::Str(key) => Some(IndexEntry {
-                    bytes: self.file_bytes(key),
-                    key: key.clone(),
-                }),
-                Json::Obj(_) => {
-                    let key = e.get("key")?.as_str()?.to_string();
-                    let bytes = match e.get("bytes").and_then(Json::as_u64) {
-                        Some(bytes) => bytes,
-                        None => self.file_bytes(&key),
-                    };
-                    Some(IndexEntry { key, bytes })
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn file_bytes(&self, key: &str) -> u64 {
-        std::fs::metadata(self.entry_path(key)).map_or(0, |m| m.len())
-    }
-
-    /// Rebuilds the key list by scanning the directory for entry files.
-    fn scan_entries(&self) -> Vec<IndexEntry> {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut keys: Vec<IndexEntry> = entries
-            .filter_map(|e| e.ok())
-            .filter_map(|e| {
-                let name = e.file_name().into_string().ok()?;
-                let key = name.strip_suffix(".entry.json")?.to_string();
-                let bytes = e.metadata().map_or(0, |m| m.len());
-                Some(IndexEntry { key, bytes })
-            })
-            .collect();
-        keys.sort_by(|a, b| a.key.cmp(&b.key));
-        keys
-    }
-
-    fn write_index(&self) -> Result<(), String> {
-        let doc = Json::obj([
-            ("schema_version", Json::U64(CACHE_ENTRY_SCHEMA_VERSION)),
-            ("kind", Json::from("cache_index")),
-            (
-                "entries",
-                Json::Arr(
-                    self.index
-                        .iter()
-                        .map(|e| {
-                            Json::obj([
-                                ("key", Json::from(e.key.clone())),
-                                ("bytes", Json::U64(e.bytes)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        crate::write_json_atomic(&self.index_path(), &doc)
-    }
+/// Every entry file in `dir` as `(mtime, key, bytes)`, oldest access
+/// first, ties broken by key.
+fn scan_entries(dir: &Path) -> Vec<(SystemTime, String, u64)> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut found: Vec<_> = entries
+        .filter_map(|e| e.ok())
+        .filter_map(|e| {
+            let name = e.file_name().into_string().ok()?;
+            let key = name.strip_suffix(".entry.json")?.to_string();
+            let meta = e.metadata().ok()?;
+            let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+            Some((mtime, key, meta.len()))
+        })
+        .collect();
+    found.sort();
+    found
 }
 
 #[cfg(test)]
@@ -520,9 +511,9 @@ mod tests {
         cache.put("c", record(3)).unwrap();
         assert_eq!(cache.len_mem(), 2);
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.mem.contains_key("a"), "recently-used entry survives");
-        assert!(cache.mem.contains_key("c"));
-        assert!(!cache.mem.contains_key("b"), "LRU entry is evicted");
+        assert!(cache.mem.get("a").is_some(), "recently-used entry survives");
+        assert!(cache.mem.get("c").is_some());
+        assert!(cache.mem.get("b").is_none(), "LRU entry is evicted");
         // The evicted entry is still served — from disk — and re-promoted.
         assert_eq!(cache.get("b"), Some(record(2)));
         assert_eq!(cache.stats().disk_hits, 1);
@@ -630,7 +621,7 @@ mod tests {
         drop(guard);
         let survivor = {
             let guard = cache.lock().unwrap();
-            guard.index.last().unwrap().key.clone()
+            guard.disk.entries.keys().next().unwrap().clone()
         };
         let path = {
             let guard = cache.lock().unwrap();
@@ -702,41 +693,76 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_or_missing_index_is_rebuilt_by_scan() {
-        let dir = tmp_dir("index");
-        let mut cache = ResultCache::open(&dir, 4).unwrap();
-        cache.put("aaa", record(1)).unwrap();
-        cache.put("bbb", record(2)).unwrap();
-        let index_path = cache.index_path();
+    fn old_layout_directories_open_and_serve_every_entry() {
+        // Older versions kept an `index.json` beside the entry files: rows
+        // of `{key, bytes}`, or bare key strings before that. The index
+        // is ignored now, whatever it holds; the scan finds every entry.
+        let row = |key: &str| Json::obj([("key", Json::from(key)), ("bytes", Json::U64(1))]);
+        let index = |entries: Vec<Json>| {
+            Json::obj([
+                ("schema_version", Json::U64(CACHE_ENTRY_SCHEMA_VERSION)),
+                ("kind", Json::from("cache_index")),
+                ("entries", Json::Arr(entries)),
+            ])
+            .pretty()
+        };
+        for (tag, text) in [
+            ("valid", index(vec![row("bbb"), row("aaa")])),
+            ("legacy", index(vec![Json::from("bbb")])),
+            ("garbage", "garbage".to_string()),
+        ] {
+            let dir = tmp_dir(&format!("old-index-{tag}"));
+            let mut cache = ResultCache::open(&dir, 4).unwrap();
+            cache.put("aaa", record(1)).unwrap();
+            cache.put("bbb", record(2)).unwrap();
+            let bytes = cache.disk_bytes();
+            std::fs::write(dir.join("index.json"), text).unwrap();
 
-        std::fs::write(&index_path, b"garbage").unwrap();
-        let rebuilt = ResultCache::open(&dir, 4).unwrap();
-        assert_eq!(rebuilt.len_disk(), 2);
-        assert!(rebuilt.disk_bytes() > 0, "scan recovers byte sizes");
+            let mut fresh = ResultCache::open(&dir, 4).unwrap();
+            assert_eq!(fresh.len_disk(), 2, "{tag}");
+            assert_eq!(fresh.disk_bytes(), bytes, "{tag}: sizes from the scan");
+            assert_eq!(fresh.get("aaa"), Some(record(1)), "{tag}");
+            assert_eq!(fresh.get("bbb"), Some(record(2)), "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 
-        std::fs::remove_file(&index_path).unwrap();
-        let mut rebuilt = ResultCache::open(&dir, 4).unwrap();
-        assert_eq!(rebuilt.len_disk(), 2);
-        assert_eq!(rebuilt.get("aaa"), Some(record(1)));
+    #[test]
+    fn reopen_keeps_access_order() {
+        let dir = tmp_dir("reopen-order");
+        let budget = 3 * 1024 + 512;
+        let mut cache = ResultCache::open(&dir, 0).unwrap();
+        cache.put("a", fat_record(1, 1)).unwrap();
+        cache.put("b", fat_record(2, 1)).unwrap();
+        cache.put("c", fat_record(3, 1)).unwrap();
+        // A disk hit (the memory tier is off) makes `a` the newest entry.
+        assert!(cache.get("a").is_some());
+        drop(cache);
+
+        let mut fresh = ResultCache::open_budgeted(&dir, 0, Some(budget)).unwrap();
+        fresh.put("d", fat_record(4, 1)).unwrap();
+        assert_eq!(fresh.stats().disk_evictions, 1);
+        assert_eq!(fresh.get("b"), None, "the least recently accessed goes");
+        for key in ["a", "c", "d"] {
+            assert!(fresh.get(key).is_some(), "{key} survives");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn legacy_string_index_entries_still_load() {
-        let dir = tmp_dir("legacy-index");
-        let mut cache = ResultCache::open(&dir, 4).unwrap();
-        cache.put("abc", record(3)).unwrap();
-        // Rewrite the index in the PR-8 format: bare string entries.
-        let legacy = Json::obj([
-            ("schema_version", Json::U64(CACHE_ENTRY_SCHEMA_VERSION)),
-            ("kind", Json::from("cache_index")),
-            ("entries", Json::Arr(vec![Json::from("abc")])),
-        ]);
-        crate::write_json_atomic(&cache.index_path(), &legacy).unwrap();
-        let mut fresh = ResultCache::open(&dir, 4).unwrap();
-        assert_eq!(fresh.len_disk(), 1);
-        assert!(fresh.disk_bytes() > 0, "bytes recovered from metadata");
-        assert_eq!(fresh.get("abc"), Some(record(3)));
+    fn disk_bytes_track_overwrites_and_evictions() {
+        let dir = tmp_dir("bytes");
+        let mut cache = ResultCache::open_budgeted(&dir, 0, Some(6 * 1024)).unwrap();
+        let on_disk = |cache: &ResultCache| -> u64 {
+            scan_entries(cache.dir()).iter().map(|(_, _, b)| b).sum()
+        };
+        for (i, key) in ["a", "b", "a", "c", "d", "e", "b"].iter().enumerate() {
+            cache.put(key, fat_record(i as u64, 1 + i % 3)).unwrap();
+            assert_eq!(cache.disk_bytes(), on_disk(&cache), "after put {i}");
+            assert_eq!(cache.stats().disk_bytes, cache.disk_bytes());
+            assert_eq!(cache.len_disk(), scan_entries(cache.dir()).len());
+        }
+        assert!(cache.stats().disk_evictions > 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1207,6 +1207,22 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_bodies_get_400_at_the_router() {
+        let cluster = TestCluster::start("nested", 2);
+        let mut client = HttpClient::new(cluster.addr.clone());
+        let body = "[".repeat(200_000);
+        for path in ["/run", "/batch"] {
+            let reply = client
+                .request("POST", path, Some(("application/json", &body)))
+                .unwrap();
+            assert_eq!(reply.status, 400, "{path}");
+        }
+        let health = client.request("GET", "/healthz", None).unwrap();
+        assert_eq!(health.status, 200);
+        assert_eq!(cluster.total_sim_runs(), 0);
+    }
+
+    #[test]
     fn cluster_stats_aggregate_per_backend_counters() {
         let cluster = TestCluster::start("stats", 2);
         let mut client = HttpClient::new(cluster.addr.clone());

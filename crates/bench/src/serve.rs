@@ -1507,9 +1507,9 @@ pub fn serve_http_shutdown(
 /// The shared accept loop behind [`serve_http_shutdown`] and the
 /// router's `route_http`: poll-accept (so the shutdown flag is noticed
 /// without another connection), spawn one handler thread per accepted
-/// socket, and join every handler before returning. `max_requests`
-/// counts accepted *connections* — with keep-alive one connection may
-/// carry many requests.
+/// socket, join finished handlers as it goes, and join every handler
+/// before returning. `max_requests` counts accepted *connections* — with
+/// keep-alive one connection may carry many requests.
 pub(crate) fn accept_loop(
     listener: TcpListener,
     max_requests: Option<u64>,
@@ -1520,7 +1520,7 @@ pub(crate) fn accept_loop(
         .set_nonblocking(true)
         .map_err(|e| format!("listener: {e}"))?;
     let mut handled = 0u64;
-    let mut handlers = Vec::new();
+    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !shutdown.load(Ordering::Relaxed) {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -1542,6 +1542,11 @@ pub(crate) fn accept_loop(
         // Persistent connections make Nagle vs delayed-ACK stalls real;
         // responses are single writes, so nothing is left to coalesce.
         let _ = stream.set_nodelay(true);
+        // Reap finished handlers so their stacks do not pile up over a
+        // long run of short connections.
+        for done in handlers.extract_if(.., |h| h.is_finished()) {
+            let _ = done.join();
+        }
         handlers.push(spawn_handler(stream));
         handled += 1;
         if max_requests.is_some_and(|max| handled >= max) {
@@ -2219,6 +2224,32 @@ mod tests {
         assert_eq!(status, 404);
 
         server.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn deeply_nested_bodies_get_400_and_the_server_stays_up() {
+        let dir = tmp_dir("http-nested");
+        let svc = Arc::new(service(&dir, 1));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || serve_http(svc, listener, Some(3), false))
+        };
+        let body = "[".repeat(200_000);
+        for path in ["/run", "/batch"] {
+            let (status, err) =
+                http_call(&addr, "POST", path, Some(("application/json", &body))).unwrap();
+            assert_eq!(status, 400, "{path}");
+            let msg = err.get("error").and_then(Json::as_str).unwrap();
+            assert!(msg.contains("nesting too deep"), "{path}: {msg}");
+        }
+        let (status, health) = http_call(&addr, "GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(health.get("ok").and_then(Json::as_bool), Some(true));
+        server.join().unwrap().unwrap();
+        assert_eq!(svc.sim_runs(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

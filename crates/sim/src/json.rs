@@ -195,10 +195,14 @@ impl Json {
     }
 
     /// Parses a JSON document. Strict: trailing garbage is an error.
+    /// Arrays and objects may nest at most [`MAX_DEPTH`] deep; deeper
+    /// input is an error, so hostile input cannot overflow the stack.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -285,9 +289,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deep [`Json::parse`] lets arrays and objects nest. The parser is
+/// recursive descent, so this bounds its stack use; every document this
+/// workspace writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -332,11 +344,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -394,13 +421,22 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash as one slice.
+            // Both are ASCII, so the run ends on a char boundary of the
+            // (already valid UTF-8) input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.text[self.pos..run]);
+            self.pos = run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -429,14 +465,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -748,6 +776,9 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("nul").is_err());
+        for text in [r#""abc"#, r#""é\"#, r#""\x""#, r#""\u12""#, r#""\ud800""#] {
+            assert!(Json::parse(text).is_err(), "{text}");
+        }
     }
 
     #[test]
@@ -770,5 +801,88 @@ mod tests {
     #[test]
     fn nonfinite_floats_render_null() {
         assert_eq!(Json::F64(f64::NAN).to_string(), "null");
+    }
+
+    #[test]
+    fn multibyte_text_and_escapes_round_trip_at_run_boundaries() {
+        // 2-byte é/ü, 3-byte €, 4-byte 😀, each directly before or after
+        // an escape, so every copied run starts or ends on one.
+        for s in [
+            "é\"ü\\n😀",
+            "é\"ü\n😀",
+            "€\\😀\t",
+            "\"\\\n\r\t\u{1}\u{1f}/",
+            "\\",
+            "ends in é",
+            "ends in €",
+            "ends in 😀",
+            "😀",
+            "",
+        ] {
+            let v = Json::Str(s.into());
+            assert_eq!(Json::parse(&v.to_string()).unwrap(), v, "{s:?}");
+            assert_eq!(Json::parse(&v.pretty()).unwrap(), v, "{s:?}");
+        }
+        // Escapes the writer never emits still decode next to multibyte
+        // text.
+        assert_eq!(
+            Json::parse(r#""é\u00e9\/😀\b\f€""#).unwrap(),
+            Json::Str("éé/😀\u{8}\u{c}€".into())
+        );
+        assert_eq!(
+            Json::parse(r#"{"ü\"":"😀"}"#).unwrap(),
+            Json::obj([("ü\"", Json::from("😀"))])
+        );
+    }
+
+    #[test]
+    fn megabyte_of_short_strings_round_trips() {
+        let mut rows = Vec::new();
+        let mut bytes = 0;
+        let mut i = 0u64;
+        while bytes < 1 << 20 {
+            let row = Json::obj([
+                ("label", Json::from(format!("p{i}"))),
+                (
+                    "kernel",
+                    Json::from(["lu", "fft", "ocean\n"][i as usize % 3]),
+                ),
+                (
+                    "note",
+                    Json::from(if i.is_multiple_of(7) {
+                        "ü😀\""
+                    } else {
+                        "ok"
+                    }),
+                ),
+                ("cycles", Json::U64(i * 31)),
+            ]);
+            bytes += row.to_string().len() + 1;
+            rows.push(row);
+            i += 1;
+        }
+        let doc = Json::obj([("rows", Json::Arr(rows))]);
+        let text = doc.to_string();
+        assert!(text.len() >= 1 << 20);
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err.msg, "nesting too deep");
+        assert_eq!(err.pos, MAX_DEPTH);
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&deep(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(Json::parse(&objects).unwrap_err().msg, "nesting too deep");
+        // Siblings do not add up: depth is nesting, not count.
+        let wide = format!("[{}]", vec![deep(MAX_DEPTH - 1); 50].join(","));
+        assert!(Json::parse(&wide).is_ok());
     }
 }
