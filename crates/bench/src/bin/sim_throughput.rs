@@ -1,22 +1,21 @@
 //! Simulator throughput — host-side cost of simulation, and the wall-clock
 //! win from each accelerated run loop.
 //!
-//! Each configuration runs three times over the identical workload: naive
-//! per-cycle stepping (the reference loop), machine-wide quiescent-gap
-//! fast-forward (PR 3), and the component-granular wake scheduler (the
-//! default). The binary *fails* (exit 1) if any mode's run record is not
-//! byte-identical to naive, so a smoke run doubles as the scheduler
-//! regression gate in CI. Rows report simulated cycles per wall second and
-//! retired ops per wall second for every mode, plus speedups over naive
-//! (and, for the wake scheduler, over machine-gap — the number that
-//! isolates what per-component wakeup buys on mixed active/idle
-//! machines); results land in `results/sim_throughput.json` and are
-//! mirrored to `BENCH_sim_throughput.json` at the current directory.
+//! Each configuration runs under naive per-cycle stepping (the reference
+//! loop) and the component-granular wake scheduler (the default), each
+//! repeated [`REPEATS`] times. The binary *fails* (exit 1) if any run
+//! record is not byte-identical to naive — or to its own first repeat —
+//! so a smoke run doubles as the scheduler regression gate in CI. Rows
+//! report the median wall time with its interquartile range, simulated
+//! cycles and retired ops per median wall second, and the wake
+//! scheduler's median speedup over naive; results land in
+//! `results/sim_throughput.json` and are mirrored to
+//! `BENCH_sim_throughput.json` at the current directory.
 //!
 //! A final big-mesh section (256 cores on a 2-D mesh) benchmarks the
 //! epoch-parallel scheduler at 1/2/4/8 shard workers against the wake
 //! scheduler, gating both on record identity and — where the host has the
-//! hardware threads to run the shards concurrently — on
+//! hardware threads to run the shards concurrently — on a median
 //! `speedup_vs_component_wake >= 1.0` at 4 workers (`gate_speedup_ok`).
 
 use std::time::Instant;
@@ -31,61 +30,120 @@ use tenways_waste::{Experiment, SchedMode};
 use tenways_workloads::{WorkloadKind, WorkloadParams};
 
 const ID: &str = "sim_throughput";
-const TITLE: &str = "simulator throughput: wake scheduling vs fast-forward vs naive";
+const TITLE: &str = "simulator throughput: wake scheduling vs naive, median of repeats";
 
-const MODES: [(&str, SchedMode); 3] = [
-    ("naive", SchedMode::Naive),
-    ("machine_gap", SchedMode::MachineGap),
-    ("component_wake", SchedMode::ComponentWake),
-];
-
-struct Timed {
+/// One run's outcome.
+struct Run {
     cycles: u64,
     retired_ops: u64,
     finished: bool,
-    wall_s: f64,
     /// Full run state, stringified — equality across modes is the gate.
     fingerprint: String,
 }
 
-/// Runs the workload `REPEATS` times and keeps the best wall time (the
-/// runs are deterministic, so repeats only shave scheduler noise off
-/// sub-100ms measurements).
-const REPEATS: usize = 3;
+/// A configuration under one mode, run [`REPEATS`] times.
+struct Timed {
+    run: Run,
+    /// Whether a later repeat's record differed from the first's.
+    unstable: bool,
+    /// Wall seconds of every repeat, ascending.
+    walls: Vec<f64>,
+}
 
-fn best_of<F: FnMut() -> Timed>(mut run: F) -> Timed {
-    let mut best: Option<Timed> = None;
-    for _ in 0..REPEATS {
-        let t = run();
-        if best.as_ref().is_none_or(|b| t.wall_s < b.wall_s) {
-            best = Some(t);
+/// Repeats per (configuration, mode). Single wall times of short runs on
+/// small shared hosts do not reproduce, so rows report the median and
+/// the interquartile range of the repeats.
+const REPEATS: usize = 5;
+
+impl Timed {
+    /// The `q`-quantile of the wall times, linearly interpolated.
+    fn wall_q(&self, q: f64) -> f64 {
+        let pos = q * (self.walls.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        self.walls[lo] + (self.walls[hi] - self.walls[lo]) * (pos - lo as f64)
+    }
+
+    fn median(&self) -> f64 {
+        self.wall_q(0.5)
+    }
+
+    fn iqr(&self) -> f64 {
+        self.wall_q(0.75) - self.wall_q(0.25)
+    }
+
+    /// Median-over-median speedup of `self` relative to `base`.
+    fn speedup_over(&self, base: &Timed) -> f64 {
+        let m = self.median();
+        if m > 0.0 {
+            base.median() / m
+        } else {
+            0.0
         }
     }
-    best.expect("at least one repeat")
+
+    /// The common row fields: counts, median wall time with its spread,
+    /// and per-median-second rates.
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        let m = self.median();
+        let per_sec = |n: u64| if m > 0.0 { n as f64 / m } else { 0.0 };
+        vec![
+            ("cycles", Json::U64(self.run.cycles)),
+            ("finished", Json::Bool(self.run.finished)),
+            ("retired_ops", Json::U64(self.run.retired_ops)),
+            ("repeats", Json::from(self.walls.len())),
+            ("wall_s_median", Json::F64(m)),
+            ("wall_s_q1", Json::F64(self.wall_q(0.25))),
+            ("wall_s_q3", Json::F64(self.wall_q(0.75))),
+            ("wall_s_iqr", Json::F64(self.iqr())),
+            ("sim_cycles_per_sec", Json::F64(per_sec(self.run.cycles))),
+            (
+                "retired_ops_per_sec",
+                Json::F64(per_sec(self.run.retired_ops)),
+            ),
+        ]
+    }
+}
+
+/// Runs `once` [`REPEATS`] times; the runs are deterministic, so every
+/// repeat must yield the first one's record.
+fn measure<F: FnMut() -> (Run, f64)>(mut once: F) -> Timed {
+    let (run, wall) = once();
+    let mut t = Timed {
+        run,
+        unstable: false,
+        walls: vec![wall],
+    };
+    for _ in 1..REPEATS {
+        let (run, wall) = once();
+        t.unstable |= run.fingerprint != t.run.fingerprint;
+        t.walls.push(wall);
+    }
+    t.walls.sort_by(f64::total_cmp);
+    t
 }
 
 fn timed_exp(exp: &Experiment, sched: SchedMode) -> Timed {
     let exp = exp.clone().sched(sched);
-    best_of(|| {
+    measure(|| {
         let t0 = Instant::now();
         let record = exp.run().unwrap_or_else(|e| panic!("run failed: {e}"));
         let wall_s = t0.elapsed().as_secs_f64();
-        Timed {
+        let run = Run {
             cycles: record.summary.cycles,
             retired_ops: record.summary.retired_ops,
             finished: record.summary.finished,
-            wall_s,
             fingerprint: record.fingerprint(),
-        }
+        };
+        (run, wall_s)
     })
 }
 
 /// The wake scheduler's headline machine: one core computes the whole run
 /// while the rest fetch a few cold lines from far memory and then sit
-/// finished. Machine-gap fast-forward can never skip a cycle here (core 0
-/// always makes progress), so the whole machine is re-ticked every cycle;
-/// per-component wakeup parks the 15 done complexes and the drained NoC
-/// and pays O(1 complex) per cycle instead of O(16).
+/// finished. No machine-wide quiescent gap ever opens here (core 0 always
+/// makes progress), so naive stepping re-ticks the whole machine every
+/// cycle; per-component wakeup parks the 15 done complexes and the
+/// drained NoC and pays O(1 complex) per cycle instead of O(16).
 ///
 /// Built on [`Machine`] directly because the workload suite has no kernel
 /// with this shape: its spinners *poll* (busy), they do not park.
@@ -113,57 +171,31 @@ fn mixed_machine(busy_ops: u64, idle_cores: usize) -> Machine {
 }
 
 fn timed_mixed(busy_ops: u64, idle_cores: usize, sched: SchedMode) -> Timed {
-    best_of(|| {
+    measure(|| {
         let mut m = mixed_machine(busy_ops, idle_cores);
         m.set_sched(sched);
         let t0 = Instant::now();
         let summary = m.run(10_000_000);
         let wall_s = t0.elapsed().as_secs_f64();
-        Timed {
+        let run = Run {
             cycles: summary.cycles,
             retired_ops: summary.retired_ops,
             finished: summary.finished,
-            wall_s,
             fingerprint: format!(
                 "{summary:?}\n{:?}\n{:?}",
                 m.merged_stats(),
                 m.sb_occupancy()
             ),
-        }
+        };
+        (run, wall_s)
     })
 }
 
-fn mode_row(
-    label: &str,
-    mode: &str,
-    t: &Timed,
-    naive: Option<&Timed>,
-    gap: Option<&Timed>,
-) -> Json {
-    let per_sec = |n: u64| {
-        if t.wall_s > 0.0 {
-            n as f64 / t.wall_s
-        } else {
-            0.0
-        }
-    };
-    let speedup =
-        |base: Option<&Timed>| base.filter(|_| t.wall_s > 0.0).map(|b| b.wall_s / t.wall_s);
-    let mut fields = vec![
-        ("label", Json::from(label)),
-        ("mode", Json::from(mode)),
-        ("cycles", Json::U64(t.cycles)),
-        ("finished", Json::Bool(t.finished)),
-        ("retired_ops", Json::U64(t.retired_ops)),
-        ("wall_s", Json::F64(t.wall_s)),
-        ("sim_cycles_per_sec", Json::F64(per_sec(t.cycles))),
-        ("retired_ops_per_sec", Json::F64(per_sec(t.retired_ops))),
-    ];
-    if let Some(s) = speedup(naive) {
-        fields.push(("speedup_vs_naive", Json::F64(s)));
-    }
-    if let Some(s) = speedup(gap) {
-        fields.push(("speedup_vs_machine_gap", Json::F64(s)));
+fn mode_row(label: &str, mode: &str, t: &Timed, naive: Option<&Timed>) -> Json {
+    let mut fields = vec![("label", Json::from(label)), ("mode", Json::from(mode))];
+    fields.extend(t.fields());
+    if let Some(naive) = naive {
+        fields.push(("speedup_vs_naive", Json::F64(t.speedup_over(naive))));
     }
     Json::obj(fields)
 }
@@ -258,8 +290,8 @@ fn main() {
     const MIXED_IDLE_CORES: usize = 15;
 
     println!(
-        "{:<30}{:>12}{:>11}{:>9}{:>9}{:>10}",
-        "config", "cycles", "naive s", "gap", "wake", "wake/gap"
+        "{:<30}{:>12}{:>11}{:>9}{:>11}{:>9}{:>9}",
+        "config", "cycles", "naive s", "iqr", "wake s", "iqr", "wake"
     );
     let mut rows = Vec::new();
     let mut mismatches = 0usize;
@@ -267,39 +299,25 @@ fn main() {
         // Timing runs are serial on purpose: parallel siblings would steal
         // host cores and corrupt the wall-clock numbers.
         let naive = run(SchedMode::Naive);
-        let gap = run(SchedMode::MachineGap);
         let wake = run(SchedMode::ComponentWake);
-        for (mode_label, t) in MODES.iter().map(|(n, _)| *n).zip([&naive, &gap, &wake]) {
-            if t.fingerprint != naive.fingerprint {
+        for (mode_label, t) in [("naive", &naive), ("component_wake", &wake)] {
+            if t.unstable || t.run.fingerprint != naive.run.fingerprint {
                 eprintln!("[{ID}] SCHEDULER MISMATCH on {label}/{mode_label}: run records differ");
                 mismatches += 1;
             }
         }
-        let x = |a: &Timed, b: &Timed| {
-            if b.wall_s > 0.0 {
-                a.wall_s / b.wall_s
-            } else {
-                0.0
-            }
-        };
         println!(
-            "{:<30}{:>12}{:>11.3}{:>8.1}x{:>8.1}x{:>9.1}x",
+            "{:<30}{:>12}{:>11.4}{:>9.4}{:>11.4}{:>9.4}{:>8.2}x",
             label,
-            naive.cycles,
-            naive.wall_s,
-            x(&naive, &gap),
-            x(&naive, &wake),
-            x(&gap, &wake),
+            naive.run.cycles,
+            naive.median(),
+            naive.iqr(),
+            wake.median(),
+            wake.iqr(),
+            wake.speedup_over(&naive),
         );
-        rows.push(mode_row(label, "naive", &naive, None, None));
-        rows.push(mode_row(label, "machine_gap", &gap, Some(&naive), None));
-        rows.push(mode_row(
-            label,
-            "component_wake",
-            &wake,
-            Some(&naive),
-            Some(&gap),
-        ));
+        rows.push(mode_row(label, "naive", &naive, None));
+        rows.push(mode_row(label, "component_wake", &wake, Some(&naive)));
     };
     for (label, exp) in &configs {
         bench(label, &mut |sched| timed_exp(exp, sched));
@@ -333,46 +351,40 @@ fn main() {
     const GATE_WORKERS: usize = 4;
 
     let wake = timed_exp(&big_exp, SchedMode::ComponentWake);
-    rows.push(mode_row(
-        big_mesh_label,
-        "component_wake",
-        &wake,
-        None,
-        None,
-    ));
+    if wake.unstable {
+        eprintln!("[{ID}] SCHEDULER MISMATCH on {big_mesh_label}/component_wake: repeats differ");
+        mismatches += 1;
+    }
+    rows.push(mode_row(big_mesh_label, "component_wake", &wake, None));
     println!(
         "{:<30}{:>12}{:>11.3}  (component_wake baseline, host_threads={host_threads})",
-        big_mesh_label, wake.cycles, wake.wall_s
+        big_mesh_label,
+        wake.run.cycles,
+        wake.median()
     );
     for workers in EPOCH_WORKERS {
         let t = timed_exp(&big_exp, SchedMode::ParallelEpoch { workers });
-        if t.fingerprint != wake.fingerprint {
+        if t.unstable || t.run.fingerprint != wake.run.fingerprint {
             eprintln!(
                 "[{ID}] SCHEDULER MISMATCH on {big_mesh_label}/parallel-epoch w{workers}: \
                  run records differ"
             );
             mismatches += 1;
         }
-        let speedup = if t.wall_s > 0.0 {
-            wake.wall_s / t.wall_s
-        } else {
-            0.0
-        };
+        let speedup = t.speedup_over(&wake);
         println!(
             "{:<30}{:>12}{:>11.3}  (parallel-epoch w{workers}, {speedup:.2}x vs wake)",
-            big_mesh_label, t.cycles, t.wall_s
+            big_mesh_label,
+            t.run.cycles,
+            t.median()
         );
         let mut fields = vec![
             ("label", Json::from(big_mesh_label)),
             ("mode", Json::from("parallel-epoch")),
             ("workers", Json::from(workers)),
-            ("cycles", Json::U64(t.cycles)),
-            ("finished", Json::Bool(t.finished)),
-            ("retired_ops", Json::U64(t.retired_ops)),
-            ("wall_s", Json::F64(t.wall_s)),
-            ("sim_cycles_per_sec", Json::F64(t.cycles as f64 / t.wall_s)),
-            ("speedup_vs_component_wake", Json::F64(speedup)),
         ];
+        fields.extend(t.fields());
+        fields.push(("speedup_vs_component_wake", Json::F64(speedup)));
         if workers == GATE_WORKERS {
             // The speedup gate binds only where it is physically
             // meaningful: the shard workers need their own hardware

@@ -20,10 +20,14 @@
 //! entries (counted in [`CacheCounters::disk_evictions`]) until the tier
 //! fits again. The entry being written is never evicted by its own `put`,
 //! so a single record larger than the whole budget still serves — the
-//! budget is a steady-state bound, not an admission filter. An entry
-//! file's mtime is its last access: `put` and every disk hit set it to
-//! now, and `open` orders the scan by mtime (ties broken by key), so
-//! access order survives restarts.
+//! budget is a steady-state bound, not an admission filter. Every hit,
+//! memory or disk, refreshes the key's place in the disk tier's access
+//! order, so the hottest keys are the last evicted from disk too. An
+//! entry file's mtime persists that order: `put` and every disk hit set
+//! it to now, and `open` orders the scan by mtime (ties broken by key).
+//! A memory hit does not touch the file — that would put a filesystem
+//! call on the hottest path — so after a restart the order is that of
+//! each entry's last put or disk hit.
 //!
 //! Both tiers keep their order in an `AccessOrder`, so `get`, `put`
 //! and each eviction cost O(log n) in the number of entries, and the
@@ -268,14 +272,15 @@ impl ResultCache {
         }
     }
 
-    /// Looks up `key`, checking memory first, then disk. A disk hit is
-    /// promoted into the memory LRU and refreshes the key's disk access
-    /// order (and its file's mtime). Any disk problem — unreadable file,
-    /// garbage bytes, wrong schema version, entry recorded under a
-    /// different key — is a miss, never an error.
+    /// Looks up `key`, checking memory first, then disk. Any hit
+    /// refreshes the key's disk access order; a disk hit also stamps the
+    /// file's mtime and is promoted into the memory LRU. Any disk
+    /// problem — unreadable file, garbage bytes, wrong schema version,
+    /// entry recorded under a different key — is a miss, never an error.
     pub fn get(&mut self, key: &str) -> Option<Json> {
         if let Some(record) = self.mem.touch(key).cloned() {
             CacheCounters::bump(&self.counters.mem_hits);
+            self.disk.touch(key);
             return Some(record);
         }
         match self.load_entry(key, true) {
@@ -559,6 +564,28 @@ mod tests {
         assert_eq!(fresh.len_disk(), 3);
         assert_eq!(fresh.get("b"), None);
         assert!(fresh.get("d").is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn memory_hits_keep_the_hottest_key_on_disk() {
+        let dir = tmp_dir("mem-hit-order");
+        let budget = 3 * 1024 + 512;
+        let mut cache = ResultCache::open_budgeted(&dir, 4, Some(budget as u64)).unwrap();
+        cache.put("a", fat_record(1, 1)).unwrap();
+        cache.put("b", fat_record(2, 1)).unwrap();
+        cache.put("c", fat_record(3, 1)).unwrap();
+        for _ in 0..10 {
+            assert!(cache.get("a").is_some());
+        }
+        assert_eq!(cache.stats().mem_hits, 10, "every hit came from memory");
+        cache.put("d", fat_record(4, 1)).unwrap();
+        assert_eq!(cache.stats().disk_evictions, 1);
+        assert!(
+            cache.entry_path("a").exists(),
+            "the hot entry stays on disk"
+        );
+        assert!(!cache.entry_path("b").exists(), "the coldest entry goes");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1210,12 +1210,13 @@ mod tests {
     fn deeply_nested_bodies_get_400_at_the_router() {
         let cluster = TestCluster::start("nested", 2);
         let mut client = HttpClient::new(cluster.addr.clone());
-        let body = "[".repeat(200_000);
-        for path in ["/run", "/batch"] {
-            let reply = client
-                .request("POST", path, Some(("application/json", &body)))
-                .unwrap();
-            assert_eq!(reply.status, 400, "{path}");
+        let json = "[".repeat(200_000);
+        let toml = format!("threads = {}{}", "[".repeat(100_000), "]".repeat(100_000));
+        for (kind, body) in [("application/json", &json), ("application/toml", &toml)] {
+            for path in ["/run", "/batch"] {
+                let reply = client.request("POST", path, Some((kind, body))).unwrap();
+                assert_eq!(reply.status, 400, "{kind} {path}");
+            }
         }
         let health = client.request("GET", "/healthz", None).unwrap();
         assert_eq!(health.status, 200);

@@ -2235,15 +2235,17 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = {
             let svc = Arc::clone(&svc);
-            std::thread::spawn(move || serve_http(svc, listener, Some(3), false))
+            std::thread::spawn(move || serve_http(svc, listener, Some(5), false))
         };
-        let body = "[".repeat(200_000);
-        for path in ["/run", "/batch"] {
-            let (status, err) =
-                http_call(&addr, "POST", path, Some(("application/json", &body))).unwrap();
-            assert_eq!(status, 400, "{path}");
-            let msg = err.get("error").and_then(Json::as_str).unwrap();
-            assert!(msg.contains("nesting too deep"), "{path}: {msg}");
+        let json = "[".repeat(200_000);
+        let toml = format!("threads = {}{}", "[".repeat(100_000), "]".repeat(100_000));
+        for (kind, body) in [("application/json", &json), ("application/toml", &toml)] {
+            for path in ["/run", "/batch"] {
+                let (status, err) = http_call(&addr, "POST", path, Some((kind, body))).unwrap();
+                assert_eq!(status, 400, "{kind} {path}");
+                let msg = err.get("error").and_then(Json::as_str).unwrap();
+                assert!(msg.contains("nesting too deep"), "{kind} {path}: {msg}");
+            }
         }
         let (status, health) = http_call(&addr, "GET", "/healthz", None).unwrap();
         assert_eq!(status, 200);

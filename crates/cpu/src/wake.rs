@@ -20,6 +20,11 @@
 //!   bit-for-bit reproducible.
 //! * **Monotonicity.** Wake times are only ever set at or after the
 //!   wheel's base (the last drained cycle); the debug build asserts it.
+//!
+//! `WakeLoop` is the scheduler built on the wheel, and the only copy of
+//! it: `Machine::run_wake` drives one loop over the whole machine, and
+//! each epoch-parallel shard drives one over its own components, window
+//! by window (see `crate::epoch`).
 
 /// Slots in the near-term window. Covers L1 hit latencies, NoC hops and
 /// directory latencies without touching the heap; anything longer (DRAM)
@@ -31,6 +36,13 @@ pub const NEVER: u64 = u64::MAX;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+use tenways_coherence::{DirectoryBank, L1Controller, Msg};
+use tenways_noc::Fabric;
+use tenways_sim::{Cycle, NodeId};
+
+use crate::archmem::MemBackend;
+use crate::core::Core;
 
 /// A bucketed timing wheel over a fixed set of component indices.
 #[derive(Debug)]
@@ -159,6 +171,206 @@ impl WakeWheel {
         out.sort_unstable();
         out.dedup();
         self.base = t;
+    }
+}
+
+/// The scheduling units one [`WakeLoop`] drives: a fabric (the whole
+/// machine's, or a shard's view of it), and the directory banks and core
+/// complexes (`l1s[i]` fused with `cores[i]`) it owns, each in ascending
+/// global order.
+pub(crate) struct Units<'a> {
+    pub(crate) fabric: &'a mut Fabric<Msg>,
+    pub(crate) dirs: &'a mut [DirectoryBank],
+    pub(crate) l1s: &'a mut [L1Controller],
+    pub(crate) cores: &'a mut [Core],
+}
+
+/// Wheel component of the fabric.
+const FABRIC_COMP: u32 = 0;
+
+/// The component-granular wake scheduler over one set of [`Units`]: each
+/// cycle with any due work, tick exactly the due components (in the
+/// canonical fabric → directory banks → core complexes order) and put
+/// each back to sleep until its own next event. Components woken after a
+/// gap first replay the stat-only effects of the no-progress ticks they
+/// slept through (`skip_idle`), so results stay bit-for-bit identical to
+/// naive stepping.
+#[derive(Debug)]
+pub(crate) struct WakeLoop {
+    /// Fabric node → wheel component (`u32::MAX` for a node whose unit
+    /// another loop owns).
+    comp_of_node: Vec<u32>,
+    wheel: WakeWheel,
+    /// Cycle of each component's most recent real tick: the replay basis
+    /// for the gap behind a wake.
+    last_tick: Vec<Cycle>,
+    /// The last cycle processed.
+    now: Cycle,
+    due: Vec<u32>,
+    woken: Vec<NodeId>,
+}
+
+impl WakeLoop {
+    /// A loop starting after cycle `start` over a fabric of `nodes`
+    /// endpoints. Wheel component `1 + i` is the unit at fabric node
+    /// `owned[i]`; `owned` lists the directory-bank nodes, then the core
+    /// nodes, in the order of the [`Units`] the loop will drive.
+    pub(crate) fn new(start: Cycle, nodes: usize, owned: impl IntoIterator<Item = usize>) -> Self {
+        let mut comp_of_node = vec![u32::MAX; nodes];
+        let mut n_comps = 1;
+        for node in owned {
+            comp_of_node[node] = n_comps as u32;
+            n_comps += 1;
+        }
+        WakeLoop {
+            comp_of_node,
+            // Every component ticks the first cycle; idleness is only
+            // ever proven by a real tick that reports no progress.
+            wheel: WakeWheel::new(n_comps, start.as_u64() + 1),
+            last_tick: vec![start; n_comps],
+            now: start,
+            due: Vec::with_capacity(n_comps),
+            woken: Vec::new(),
+        }
+    }
+
+    /// The last cycle processed (the start cycle before the first).
+    pub(crate) fn now(&self) -> Cycle {
+        self.now
+    }
+
+    /// Earliest cycle at which any component is due (`None`: all parked).
+    pub(crate) fn next_due(&mut self) -> Option<u64> {
+        self.wheel.next_due()
+    }
+
+    /// Reschedules the fabric at its next event after `now`. Any
+    /// component may have handed it a message, and a shard's view may
+    /// have absorbed flights due before its cached wake.
+    pub(crate) fn rewake_fabric(&mut self, fabric: &Fabric<Msg>, now: Cycle) {
+        let at = fabric.next_event(now).map_or(NEVER, Cycle::as_u64);
+        self.wheel.set(FABRIC_COMP, at);
+    }
+
+    /// Processes every due event through cycle `hi`. With `stop_on_done`,
+    /// returns `true` as soon as every core in `u` is done; otherwise (or
+    /// when nothing more is due by `hi`) returns `false`.
+    pub(crate) fn run<M: MemBackend>(
+        &mut self,
+        u: &mut Units<'_>,
+        mem: &mut M,
+        hi: u64,
+        stop_on_done: bool,
+    ) -> bool {
+        let n_dirs = u.dirs.len();
+        loop {
+            if stop_on_done && u.cores.iter().all(Core::is_done) {
+                return true;
+            }
+            let t = match self.wheel.next_due() {
+                Some(at) if at <= hi => Cycle::new(at),
+                _ => return false,
+            };
+            debug_assert!(t > self.now, "due cycle must be in the future");
+            self.now = t;
+            self.wheel.take_due(t.as_u64(), &mut self.due);
+
+            // The fabric ticks first (component 0 sorts first). Its
+            // deliveries this cycle wake the owning components *this*
+            // cycle — in naive stepping they would drain their inboxes in
+            // the same cycle the fabric filled them.
+            if self.due.first() == Some(&FABRIC_COMP) {
+                let gap = t.as_u64() - 1 - self.last_tick[0].as_u64();
+                if gap > 0 {
+                    u.fabric.skip_idle(self.last_tick[0], gap);
+                }
+                self.woken.clear();
+                u.fabric.tick_observed(t, &mut self.woken);
+                self.last_tick[0] = t;
+                let mut grew = false;
+                for &dst in &self.woken {
+                    let comp = self.comp_of_node[dst.index()];
+                    debug_assert_ne!(comp, u32::MAX, "delivery to a foreign node");
+                    if self.wheel.wake_of(comp) != t.as_u64() {
+                        self.due.push(comp);
+                        grew = true;
+                    }
+                }
+                if grew {
+                    self.due[1..].sort_unstable();
+                    self.due.dedup();
+                }
+            }
+
+            for &comp in &self.due {
+                let comp = comp as usize;
+                if comp == FABRIC_COMP as usize {
+                    continue;
+                }
+                let basis = self.last_tick[comp];
+                let gap = t.as_u64() - 1 - basis.as_u64();
+                self.last_tick[comp] = t;
+                let at = if comp <= n_dirs {
+                    // Directory bank: an idle bank tick mutates nothing
+                    // (see `DirectoryBank::next_event`), so slept cycles
+                    // need no replay.
+                    let dir = &mut u.dirs[comp - 1];
+                    if dir.tick(t, u.fabric) {
+                        t.as_u64() + 1
+                    } else {
+                        dir.next_event(t).map_or(NEVER, Cycle::as_u64)
+                    }
+                } else {
+                    // Core complex: L1 then core, the per-cycle order of
+                    // `Machine::step`.
+                    let c = comp - 1 - n_dirs;
+                    let (l1, core) = (&mut u.l1s[c], &mut u.cores[c]);
+                    if gap > 0 {
+                        l1.skip_idle(basis, gap);
+                        core.skip_idle(basis, gap);
+                    }
+                    let mut progress = l1.tick(t, u.fabric);
+                    progress |= core.tick(t, l1, u.fabric, mem);
+                    // A failed core request can still consume one-shot
+                    // L1 state (e.g. clear a prefetched bit), which makes
+                    // this cycle non-repeatable.
+                    progress |= l1.took_one_time_fx();
+                    if progress {
+                        t.as_u64() + 1
+                    } else {
+                        let l1_at = l1.next_event(t).map_or(NEVER, Cycle::as_u64);
+                        let core_at = core.next_event(t).map_or(NEVER, Cycle::as_u64);
+                        l1_at.min(core_at)
+                    }
+                };
+                self.wheel.set(comp as u32, at);
+            }
+
+            // Any component may have handed the fabric a message this
+            // cycle (`pending_inject > 0` ⇒ `next_event` = t+1) — O(1)
+            // with the cached delivery minimum.
+            self.rewake_fabric(u.fabric, t);
+        }
+    }
+
+    /// End-of-run replay: cycles between each component's last real tick
+    /// and the final cycle `fin` were slept through, so their stat-only
+    /// effects are replayed in bulk to match naive stepping, which ticks
+    /// everything up to the final cycle (directory banks need none).
+    pub(crate) fn replay_tail(&mut self, u: &mut Units<'_>, fin: Cycle) {
+        let gap = fin - self.last_tick[0];
+        if gap > 0 {
+            u.fabric.skip_idle(self.last_tick[0], gap);
+        }
+        let first_core = 1 + u.dirs.len();
+        for (c, (l1, core)) in u.l1s.iter_mut().zip(u.cores.iter_mut()).enumerate() {
+            let basis = self.last_tick[first_core + c];
+            let gap = fin - basis;
+            if gap > 0 {
+                l1.skip_idle(basis, gap);
+                core.skip_idle(basis, gap);
+            }
+        }
     }
 }
 

@@ -25,7 +25,7 @@
 //! );
 //! ```
 
-use crate::json::Json;
+use crate::json::{Json, MAX_DEPTH};
 use std::fmt;
 
 /// A TOML parse error with the 1-based line it occurred on.
@@ -81,7 +81,7 @@ pub fn parse_toml(text: &str) -> Result<Json, TomlError> {
             .split_once('=')
             .ok_or_else(|| err("expected `key = value`"))?;
         let key = unquote_key(key.trim()).ok_or_else(|| err("bad key"))?;
-        let value = parse_value(value.trim()).map_err(|m| err(&m))?;
+        let value = parse_value(value.trim(), 0).map_err(|m| err(&m))?;
         let table = table_at(&mut root, &section).map_err(|m| err(&m))?;
         if table.iter().any(|(k, _)| *k == key) {
             return Err(err(&format!("duplicate key `{key}`")));
@@ -140,7 +140,11 @@ fn table_at<'a>(
     Ok(cur)
 }
 
-fn parse_value(text: &str) -> Result<Json, String> {
+/// Parses one value nested inside `depth` arrays. Arrays may nest at
+/// most [`MAX_DEPTH`] deep, as in [`Json::parse`]: the parser recurses
+/// once per level and rescans the rest of the value at each, so the
+/// limit bounds both its stack use and its work.
+fn parse_value(text: &str, depth: usize) -> Result<Json, String> {
     if text.is_empty() {
         return Err("missing value".to_string());
     }
@@ -155,13 +159,16 @@ fn parse_value(text: &str) -> Result<Json, String> {
         return Ok(Json::Bool(false));
     }
     if let Some(inner) = text.strip_prefix('[') {
+        if depth == MAX_DEPTH {
+            return Err("nesting too deep".to_string());
+        }
         let inner = inner.strip_suffix(']').ok_or("unterminated array")?.trim();
         if inner.is_empty() {
             return Ok(Json::Arr(Vec::new()));
         }
         return split_top_level(inner)?
             .into_iter()
-            .map(|item| parse_value(item.trim()))
+            .map(|item| parse_value(item.trim(), depth + 1))
             .collect::<Result<Vec<_>, _>>()
             .map(Json::Arr);
     }
@@ -286,6 +293,14 @@ mod tests {
             "duplicate keys rejected"
         );
         assert!(parse_toml("[bad\n").is_err());
+    }
+
+    #[test]
+    fn array_nesting_stops_at_the_json_depth_limit() {
+        let deep = |n: usize| format!("xs = {}{}\n", "[".repeat(n), "]".repeat(n));
+        assert!(parse_toml(&deep(MAX_DEPTH)).is_ok());
+        let e = parse_toml(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.msg, "nesting too deep");
     }
 
     #[test]

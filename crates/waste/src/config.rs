@@ -51,8 +51,6 @@ use crate::energy::EnergyModel;
 pub enum SchedModeChoice {
     /// Reference per-cycle stepping.
     Naive,
-    /// Whole-machine quiescent-gap fast-forward.
-    MachineGap,
     /// Component-granular wake scheduling (the default).
     #[default]
     ComponentWake,
@@ -65,7 +63,6 @@ impl SchedModeChoice {
     pub fn label(&self) -> &'static str {
         match self {
             SchedModeChoice::Naive => "naive",
-            SchedModeChoice::MachineGap => "machine-gap",
             SchedModeChoice::ComponentWake => "component-wake",
             SchedModeChoice::ParallelEpoch => "parallel-epoch",
         }
@@ -75,7 +72,6 @@ impl SchedModeChoice {
     pub fn from_label(label: &str) -> Option<SchedModeChoice> {
         match label {
             "naive" => Some(SchedModeChoice::Naive),
-            "machine-gap" => Some(SchedModeChoice::MachineGap),
             "component-wake" => Some(SchedModeChoice::ComponentWake),
             "parallel-epoch" => Some(SchedModeChoice::ParallelEpoch),
             _ => None,
@@ -163,7 +159,6 @@ impl SchedConfig {
         }
         Ok(match self.mode {
             SchedModeChoice::Naive => SchedMode::Naive,
-            SchedModeChoice::MachineGap => SchedMode::MachineGap,
             SchedModeChoice::ComponentWake => SchedMode::ComponentWake,
             SchedModeChoice::ParallelEpoch => SchedMode::ParallelEpoch {
                 workers: self.workers.unwrap_or_else(host_parallelism),
@@ -570,8 +565,9 @@ mod tests {
             Ok(SchedMode::ParallelEpoch { workers: 4 })
         );
 
-        let cfg = SimConfig::from_json_str(r#"{"sched":"machine-gap"}"#).unwrap();
-        assert_eq!(cfg.sched.resolve(), Ok(SchedMode::MachineGap));
+        // A label that names no run loop is rejected.
+        let err = SimConfig::from_json_str(r#"{"sched":"machine-gap"}"#).unwrap_err();
+        assert!(err.to_string().contains("unknown sched mode"), "{err}");
         let cfg = SimConfig::from_json_str(r#"{"sched":"parallel-epoch:2"}"#).unwrap();
         assert_eq!(
             cfg.sched.resolve(),
@@ -579,6 +575,13 @@ mod tests {
         );
         let back = SimConfig::from_json_str(&cfg.to_json().to_string()).unwrap();
         assert_eq!(back, cfg);
+    }
+
+    #[test]
+    fn deeply_nested_toml_is_an_error_not_a_crash() {
+        let text = format!("threads = {}{}\n", "[".repeat(100_000), "]".repeat(100_000));
+        let err = SimConfig::from_toml_str(&text).unwrap_err();
+        assert!(err.to_string().contains("nesting too deep"), "{err}");
     }
 
     #[test]

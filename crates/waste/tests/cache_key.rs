@@ -79,7 +79,6 @@ fn sched_mode_is_not_part_of_the_key() {
     let base = SimConfig::default();
     for mode in [
         SchedModeChoice::Naive,
-        SchedModeChoice::MachineGap,
         SchedModeChoice::ComponentWake,
         SchedModeChoice::ParallelEpoch,
     ] {

@@ -1,8 +1,8 @@
 //! Property test: randomly drawn small configurations must produce
 //! byte-identical `RunRecord` fingerprints under all run-loop schedulers
-//! (naive stepping, machine-gap fast-forward, component-granular wake
-//! scheduling, and epoch-parallel sharding at several worker counts —
-//! one, a few, and one per core).
+//! (naive stepping, component-granular wake scheduling, and
+//! epoch-parallel sharding at several worker counts — one, a few, and
+//! one per core).
 //!
 //! The point of drawing configurations from a [`DetRng`] instead of
 //! enumerating a fixed matrix is coverage of the *interactions*: odd
@@ -112,7 +112,6 @@ fn modern_sync_workloads_are_byte_identical_across_all_schedulers() {
                 .unwrap_or_else(|e| panic!("{label}: naive run failed: {e}"))
                 .fingerprint();
             for mode in [
-                SchedMode::MachineGap,
                 SchedMode::ComponentWake,
                 SchedMode::ParallelEpoch { workers: 2 },
             ] {
@@ -142,7 +141,6 @@ fn random_configs_are_byte_identical_across_all_schedulers() {
         // Worker counts: degenerate (1 falls back to sequential wake),
         // small, larger-than-most-machines, and exactly one per core.
         let modes = [
-            SchedMode::MachineGap,
             SchedMode::ComponentWake,
             SchedMode::ParallelEpoch { workers: 1 },
             SchedMode::ParallelEpoch { workers: 2 },

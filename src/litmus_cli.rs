@@ -32,9 +32,9 @@ fn usage() -> ! {
                       --sched-workers when sharding)
   --cycle-limit <n>   per-run cycle limit; a run that exceeds it fails
                       (default 1000000)
-  --sched <mode>      per-run scheduler: naive | machine-gap |
-                      component-wake | parallel-epoch (default
-                      component-wake; verdicts are identical in all modes)
+  --sched <mode>      per-run scheduler: naive | component-wake |
+                      parallel-epoch (default component-wake; verdicts
+                      are identical in all modes)
   --sched-workers <n> intra-run shard threads for --sched parallel-epoch
                       (default: host parallelism). When sharding (n > 1),
                       an explicit --workers x --sched-workers may not

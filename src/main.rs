@@ -53,9 +53,9 @@ fn usage() -> ! {
   --prefetch          enable the next-line L1 prefetcher
   --atomics <preset>  RMW/fence latency model: off | schweizer (default
                       off; schweizer = Haswell-calibrated near/far costs)
-  --sched <mode>      run-loop scheduler: naive | machine-gap |
-                      component-wake | parallel-epoch (default
-                      component-wake; results are identical in all modes)
+  --sched <mode>      run-loop scheduler: naive | component-wake |
+                      parallel-epoch (default component-wake; results
+                      are identical in all modes)
   --sched-workers <n> intra-run shard threads for --sched parallel-epoch
                       (default: host parallelism); distinct from the
                       sweep/litmus --workers across-run parallelism
